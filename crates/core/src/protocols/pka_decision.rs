@@ -11,13 +11,16 @@
 //! options). For each selection the engine
 //!
 //! 1. builds `G_M` — the subgraph induced by the joint claimed view on the
-//!    claiming node set `V_M` (plus the receiver's own knowledge);
-//! 2. searches for an **adversary cover** (Definition 6): a D–R cut `C` of
-//!    `G_M` with `C ∩ V(γ(B)) ∈ 𝒵_B`, where `B` is R's component of
-//!    `G_M ∖ C` and `𝒵_B` is the joint of the *claimed* structures of `B`
-//!    (evaluated with the cylinder membership test — never materialized);
-//! 3. if no cover exists, checks **fullness** per candidate value `x`: every
-//!    D–R path of `G_M` must have arrived as a type-1 trail carrying `x`;
+//!    claiming node set `V_M` (plus the receiver's own knowledge) — and
+//!    enumerates its D–R paths;
+//! 2. checks **fullness** per candidate value `x`: every D–R path of `G_M`
+//!    must have arrived as a type-1 trail carrying `x`;
+//! 3. only if some `x` makes M full, searches for an **adversary cover**
+//!    (Definition 6): a D–R cut `C` of `G_M` with `C ∩ V(γ(B)) ∈ 𝒵_B`,
+//!    where `B` is R's component of `G_M ∖ C` and `𝒵_B` is the joint of the
+//!    *claimed* structures of `B` (evaluated with the cylinder membership
+//!    test — never materialized). The search is one pruned enumeration of
+//!    the connected candidate components `B`;
 //!    the first full, cover-free `(selection, x)` decides `x`.
 //!
 //! Everything is budgeted ([`DecisionConfig`]); exceeding a budget makes the
@@ -34,7 +37,6 @@
 use std::collections::{BTreeMap, HashSet};
 
 use rmt_adversary::AdversaryStructure;
-use rmt_graph::separators::{self, AnchorScan};
 use rmt_graph::{paths, traversal, Graph};
 use rmt_obs::Registry;
 use rmt_sets::{NodeId, NodeSet};
@@ -49,8 +51,9 @@ pub struct DecisionConfig {
     pub max_selections: usize,
     /// Maximum number of D–R paths enumerated per candidate `G_M`.
     pub max_paths: usize,
-    /// Maximum `|V_M| − 2` for the exhaustive adversary-cover search
-    /// (the search visits `2^(|V_M|−2)` subsets).
+    /// Maximum `|V_M| − 2` for the adversary-cover search, which visits
+    /// connected node sets of `G_M` containing R and so at most
+    /// `2^(|V_M|−2)` of them; above it the receiver abstains.
     pub max_cover_candidates: usize,
 }
 
@@ -92,6 +95,9 @@ pub struct ReceiverState {
     pub malformed_claims: u64,
     /// Claim selections examined across all [`ReceiverState::decide`] calls.
     pub selections_examined: u64,
+    /// Candidate components `B` reached by the adversary-cover search
+    /// (pruned or tested) across all [`ReceiverState::decide`] calls.
+    pub cover_sets_visited: u64,
 }
 
 impl ReceiverState {
@@ -112,6 +118,7 @@ impl ReceiverState {
             truncated: false,
             malformed_claims: 0,
             selections_examined: 0,
+            cover_sets_visited: 0,
         }
     }
 
@@ -174,15 +181,68 @@ impl ReceiverState {
         if self.type1.is_empty() || !self.claims.contains_key(&self.dealer) {
             return None;
         }
+        let mut visited = 0u64;
+        let (result, truncated, examined) = self.search_selections(cfg, |selection, truncated| {
+            self.examine_selection(selection, cfg, truncated, &mut visited)
+        });
+        self.truncated |= truncated;
+        self.selections_examined += examined as u64;
+        self.cover_sets_visited += visited;
+        result
+    }
+
+    /// [`ReceiverState::decide`] with the search effort recorded in `reg`:
+    ///
+    /// * `pka.decide_ns` — wall time per call (histogram, stamped by the
+    ///   registry's clock);
+    /// * `pka.selections_examined` — claim selections examined;
+    /// * `pka.cover_components` — candidate components reached by the
+    ///   adversary-cover search;
+    /// * `pka.decisions` — calls that returned a value;
+    /// * `pka.truncations` — calls that ran into a budget and abstained
+    ///   conservatively;
+    ///
+    /// plus a `pka.decide` phase span when the registry carries a profiler.
+    pub fn decide_observed(&mut self, cfg: &DecisionConfig, reg: &Registry) -> Option<Value> {
+        let _phase = reg.phase("pka.decide");
+        let _timer = reg.timer("pka.decide_ns");
+        let before_examined = self.selections_examined;
+        let before_visited = self.cover_sets_visited;
+        let before_truncated = self.truncated;
+        let result = self.decide(cfg);
+        reg.counter("pka.selections_examined")
+            .add(self.selections_examined - before_examined);
+        reg.counter("pka.cover_components")
+            .add(self.cover_sets_visited - before_visited);
+        if result.is_some() {
+            reg.counter("pka.decisions").inc();
+        }
+        if self.truncated && !before_truncated {
+            reg.counter("pka.truncations").inc();
+        }
+        result
+    }
+
+    /// Enumerates the candidate message sets in the order described at
+    /// [`ReceiverState::decide`] and hands each claim selection to `visit`
+    /// (with the shared truncation flag) until `visit` returns a value or
+    /// the `max_selections` budget runs out. Returns the value, whether a
+    /// budget was exceeded, and the number of selections examined.
+    fn search_selections<F>(
+        &self,
+        cfg: &DecisionConfig,
+        mut visit: F,
+    ) -> (Option<Value>, bool, usize)
+    where
+        F: FnMut(&[(NodeId, &Claim)], &mut bool) -> Option<Value>,
+    {
         let all_nodes: Vec<NodeId> = self.claims.keys().copied().collect();
         let mut excludable: NodeSet = all_nodes.iter().copied().collect();
         excludable.remove(self.dealer); // D must be in V_M for paths to exist
 
         let mut truncated = false;
         let mut examined = 0usize;
-        let mut result = None;
-
-        'search: for k in 0..=excludable.len() {
+        for k in 0..=excludable.len() {
             for excluded in excludable.combinations(k) {
                 let nodes: Vec<NodeId> = all_nodes
                     .iter()
@@ -193,8 +253,7 @@ impl ReceiverState {
                 let mut counter = vec![0usize; nodes.len()];
                 loop {
                     if examined >= cfg.max_selections {
-                        truncated = true;
-                        break 'search;
+                        return (None, true, examined);
                     }
                     examined += 1;
                     let selection: Vec<(NodeId, &Claim)> = nodes
@@ -202,9 +261,8 @@ impl ReceiverState {
                         .zip(&counter)
                         .map(|(&u, &i)| (u, &self.claims[&u][i]))
                         .collect();
-                    if let Some(x) = self.examine_selection(&selection, cfg, &mut truncated) {
-                        result = Some(x);
-                        break 'search;
+                    if let Some(x) = visit(&selection, &mut truncated) {
+                        return (Some(x), truncated, examined);
                     }
                     // Advance the mixed-radix counter; done when it wraps.
                     let mut wrapped = true;
@@ -222,46 +280,18 @@ impl ReceiverState {
                 }
             }
         }
-        self.truncated |= truncated;
-        self.selections_examined += examined as u64;
-        result
+        (None, truncated, examined)
     }
 
-    /// [`ReceiverState::decide`] with the search effort recorded in `reg`:
-    ///
-    /// * `pka.decide_ns` — wall time per call (histogram, stamped by the
-    ///   registry's clock);
-    /// * `pka.selections_examined` — claim selections examined;
-    /// * `pka.decisions` — calls that returned a value;
-    /// * `pka.truncations` — calls that ran into a budget and abstained
-    ///   conservatively;
-    ///
-    /// plus a `pka.decide` phase span when the registry carries a profiler.
-    pub fn decide_observed(&mut self, cfg: &DecisionConfig, reg: &Registry) -> Option<Value> {
-        let _phase = reg.phase("pka.decide");
-        let _timer = reg.timer("pka.decide_ns");
-        let before_examined = self.selections_examined;
-        let before_truncated = self.truncated;
-        let result = self.decide(cfg);
-        reg.counter("pka.selections_examined")
-            .add(self.selections_examined - before_examined);
-        if result.is_some() {
-            reg.counter("pka.decisions").inc();
-        }
-        if self.truncated && !before_truncated {
-            reg.counter("pka.truncations").inc();
-        }
-        result
-    }
-
-    /// Examines one claim selection: builds G_M, rejects it if an adversary
-    /// cover exists, otherwise looks for a value whose paths make M full.
-    fn examine_selection(
+    /// Builds `G_M` for one claim selection and enumerates its D–R paths.
+    /// `None` if M cannot decide: D or R is missing, G_M has no D–R path,
+    /// or the path budget overflowed (which sets `truncated`).
+    fn candidate(
         &self,
         selection: &[(NodeId, &Claim)],
         cfg: &DecisionConfig,
         truncated: &mut bool,
-    ) -> Option<Value> {
+    ) -> Option<(Graph, Vec<Vec<NodeId>>)> {
         // V_M: the claiming nodes plus the receiver itself (whose knowledge
         // R holds locally).
         let mut v_m: NodeSet = selection.iter().map(|(u, _)| *u).collect();
@@ -290,142 +320,110 @@ impl ReceiverState {
         if all_paths.is_empty() {
             return None;
         }
+        Some((g_m, all_paths))
+    }
 
-        if self.has_adversary_cover(&g_m, &v_m, selection, cfg, truncated) {
+    /// The first value `x` whose paths make M full: every D–R path of G_M
+    /// arrived as a type-1 trail carrying `x`.
+    fn full_value(&self, all_paths: &[Vec<NodeId>]) -> Option<Value> {
+        self.type1
+            .iter()
+            .find(|(_, received)| all_paths.iter().all(|p| received.contains(p)))
+            .map(|(&x, _)| x)
+    }
+
+    /// Examines one claim selection: builds G_M, looks for a value whose
+    /// paths make M full, and decides it unless M has an adversary cover.
+    fn examine_selection(
+        &self,
+        selection: &[(NodeId, &Claim)],
+        cfg: &DecisionConfig,
+        truncated: &mut bool,
+        cover_sets_visited: &mut u64,
+    ) -> Option<Value> {
+        let (g_m, all_paths) = self.candidate(selection, cfg, truncated)?;
+        if g_m.node_count().saturating_sub(2) > cfg.max_cover_candidates {
+            // Cannot verify the absence of a cover: abstain conservatively.
+            *truncated = true;
             return None;
         }
-
-        // Fullness per candidate value: every D–R path of G_M must have
-        // arrived carrying x.
-        for (&x, received) in &self.type1 {
-            if all_paths.iter().all(|p| received.contains(p)) {
-                return Some(x);
-            }
+        // Fullness is cheap and fails for most selections (a trail or claim
+        // is still missing), so it goes first; the cover verdict depends on
+        // M alone, not on x.
+        let x = self.full_value(&all_paths)?;
+        if self.has_adversary_cover(&g_m, selection, cover_sets_visited) {
+            return None;
         }
-        None
+        Some(x)
     }
 
     /// Search for an adversary cover of M (Definition 6).
     ///
-    /// Tries the separator-anchored scan first (see `rmt_core::cuts::anchored`
-    /// for the charging argument): a cover exists iff some connected
-    /// `B ∋ R` of `G_M` with `D ∉ N[B]` makes `C = N(B)` a cover, since the
-    /// claimed structures are subset-closed so the cover condition is
-    /// monotone in `C` for fixed `B`. Only if the anchored scan overruns its
-    /// budget does the original `2^|candidates|` subset scan run — which is
-    /// itself gated on `max_cover_candidates` (abstaining conservatively).
+    /// Because the claimed structures are subset-closed, a cover exists iff
+    /// some connected `B ∋ R` of `G_M` with `D ∉ N[B]` makes `C = N(B)` a
+    /// cover: every `u ∈ B` admits `N(B) ∩ γ(u) ∈ 𝒵_u`. One include/exclude
+    /// enumeration of the connected sets `B ∋ R` inside
+    /// `V_M ∖ N_{G_M}[D]` visits each such `B` once. A branch is dropped as
+    /// soon as its committed boundary (the part of `N(B)` no extension can
+    /// absorb) is already rejected by some `u ∈ B`: every set of the branch
+    /// keeps `u` and has a boundary containing the committed one.
+    /// `cover_sets_visited` counts the sets the enumeration reaches.
     fn has_adversary_cover(
         &self,
         g_m: &Graph,
-        v_m: &NodeSet,
         selection: &[(NodeId, &Claim)],
-        cfg: &DecisionConfig,
-        truncated: &mut bool,
+        cover_sets_visited: &mut u64,
     ) -> bool {
-        let mut candidates = v_m.clone();
-        candidates.remove(self.dealer);
-        candidates.remove(self.me);
-        if candidates.len() > cfg.max_cover_candidates {
-            // Cannot verify the absence of a cover: abstain conservatively.
-            *truncated = true;
-            return true;
-        }
-        if g_m.has_edge(self.dealer, self.me) {
-            return false; // no D–R cut of G_M at all
-        }
-        // Claimed knowledge per node, for the joint-structure membership.
-        let knowledge: BTreeMap<NodeId, (&Graph, &AdversaryStructure)> = selection
+        let knowledge = self.knowledge(selection);
+        let mut allowed = g_m.nodes().clone();
+        allowed.difference_with(&g_m.closed_neighborhood(self.dealer));
+        let mut covered = false;
+        traversal::for_each_connected_subset(
+            g_m,
+            self.me,
+            &allowed,
+            |b, frontier| {
+                *cover_sets_visited += 1;
+                let mut committed = traversal::neighborhood(g_m, b);
+                committed.difference_with(frontier);
+                rejects(b, &committed, &knowledge)
+            },
+            |b| {
+                covered = !rejects(b, &traversal::neighborhood(g_m, b), &knowledge);
+                !covered
+            },
+        );
+        covered
+    }
+
+    /// Claimed knowledge (γ(u), 𝒵_u) per node of `V_M`.
+    fn knowledge<'a>(
+        &'a self,
+        selection: &[(NodeId, &'a Claim)],
+    ) -> BTreeMap<NodeId, (&'a NodeSet, &'a AdversaryStructure)> {
+        selection
             .iter()
-            .map(|(u, c)| (*u, (&c.view, &c.structure)))
+            .map(|(u, c)| (*u, (c.view.nodes(), &c.structure)))
             .chain(std::iter::once((
                 self.me,
-                (&self.my_view, &self.my_structure),
+                (self.my_view.nodes(), &self.my_structure),
             )))
-            .collect();
-
-        if let Some(covered) = self.anchored_cover(g_m, &knowledge) {
-            return covered;
-        }
-
-        'cuts: for c in candidates.subsets() {
-            let b = traversal::reachable_avoiding(g_m, self.me, &c);
-            if b.contains(self.dealer) {
-                continue; // not a cut of G_M
-            }
-            let trace = c.intersection(&claimed_domain(&b, &knowledge));
-            if self.trace_inadmissible(&b, &trace, &knowledge) {
-                continue 'cuts;
-            }
-            return true;
-        }
-        false
-    }
-
-    /// The anchored cover scan; `None` means a budget overflowed and the
-    /// caller must fall back to the exhaustive subset scan.
-    fn anchored_cover(
-        &self,
-        g_m: &Graph,
-        knowledge: &BTreeMap<NodeId, (&Graph, &AdversaryStructure)>,
-    ) -> Option<bool> {
-        const MAX_SEPARATORS: usize = 2048;
-        const MAX_COMPONENTS_PER_ANCHOR: u64 = 1 << 18;
-        let anchors = separators::cut_anchors(g_m, self.dealer, self.me, MAX_SEPARATORS).ok()?;
-        for anchor in &anchors {
-            let mut covered = false;
-            let stats = separators::scan_anchor(
-                g_m,
-                anchor,
-                self.me,
-                MAX_COMPONENTS_PER_ANCHOR,
-                |b, cut| {
-                    let trace = cut.intersection(&claimed_domain(b, knowledge));
-                    if !self.trace_inadmissible(b, &trace, knowledge) {
-                        covered = true;
-                        return false;
-                    }
-                    true
-                },
-            );
-            if covered {
-                return Some(true);
-            }
-            if stats.outcome == AnchorScan::BudgetExceeded {
-                return None;
-            }
-        }
-        Some(false)
-    }
-
-    /// `true` iff some node of `B` refutes the trace — the cut is then *not*
-    /// a cover; `false` means the trace is jointly admissible (cover found).
-    fn trace_inadmissible(
-        &self,
-        b: &NodeSet,
-        trace: &NodeSet,
-        knowledge: &BTreeMap<NodeId, (&Graph, &AdversaryStructure)>,
-    ) -> bool {
-        // 𝒵_B membership via the cylinder test over claimed structures.
-        b.iter().any(|u| {
-            knowledge.get(&u).is_some_and(|(view, structure)| {
-                !structure.contains(&trace.intersection(view.nodes()))
-            })
-        })
+            .collect()
     }
 }
 
-/// γ(B) from the claimed views of B.
-fn claimed_domain(
+/// `true` iff some node `u ∈ B` rejects the boundary: `boundary ∩ γ(u)` is
+/// not in its claimed `𝒵_u` (the cylinder test for `𝒵_B` membership).
+fn rejects(
     b: &NodeSet,
-    knowledge: &BTreeMap<NodeId, (&Graph, &AdversaryStructure)>,
-) -> NodeSet {
-    let mut gamma_b = NodeSet::new();
-    for u in b {
-        if let Some((view, _)) = knowledge.get(&u) {
-            gamma_b.union_with(view.nodes());
-        }
-    }
-    gamma_b
+    boundary: &NodeSet,
+    knowledge: &BTreeMap<NodeId, (&NodeSet, &AdversaryStructure)>,
+) -> bool {
+    b.iter().any(|u| {
+        knowledge
+            .get(&u)
+            .is_some_and(|(gamma, structure)| !structure.contains(&boundary.intersection(gamma)))
+    })
 }
 
 #[cfg(test)]
@@ -632,6 +630,225 @@ mod tests {
         // Unable to verify the absence of a cover, R abstains (safely).
         assert_eq!(state.decide(&cfg), None);
         assert!(state.truncated);
+    }
+
+    /// γ(B) from the claimed views of B.
+    fn claimed_domain(
+        b: &NodeSet,
+        knowledge: &BTreeMap<NodeId, (&NodeSet, &AdversaryStructure)>,
+    ) -> NodeSet {
+        let mut gamma_b = NodeSet::new();
+        for u in b {
+            if let Some((gamma, _)) = knowledge.get(&u) {
+                gamma_b.union_with(gamma);
+            }
+        }
+        gamma_b
+    }
+
+    /// The exhaustive cover search the pruned enumeration replaced: every
+    /// subset `C ⊆ V_M ∖ {D, R}` that cuts D from R in `G_M` is tried as a
+    /// cover of R's component `B` of `G_M ∖ C`.
+    fn oracle_has_cover(
+        state: &ReceiverState,
+        g_m: &Graph,
+        selection: &[(NodeId, &Claim)],
+    ) -> bool {
+        let knowledge = state.knowledge(selection);
+        let mut candidates = g_m.nodes().clone();
+        candidates.remove(state.dealer);
+        candidates.remove(state.me);
+        candidates.subsets().any(|c| {
+            let b = traversal::reachable_avoiding(g_m, state.me, &c);
+            if b.contains(state.dealer) {
+                return false; // not a cut of G_M
+            }
+            let trace = c.intersection(&claimed_domain(&b, &knowledge));
+            b.iter().all(|u| {
+                knowledge
+                    .get(&u)
+                    .is_none_or(|(gamma, structure)| structure.contains(&trace.intersection(gamma)))
+            })
+        })
+    }
+
+    /// The decision rule in its previous order, over the same selection
+    /// enumeration: the exhaustive cover search first, then fullness.
+    fn oracle_decide(state: &ReceiverState, cfg: &DecisionConfig) -> (Option<Value>, bool, usize) {
+        if state.type1.is_empty() || !state.claims.contains_key(&state.dealer) {
+            return (None, false, 0);
+        }
+        state.search_selections(cfg, |selection, truncated| {
+            let (g_m, all_paths) = state.candidate(selection, cfg, truncated)?;
+            if g_m.node_count().saturating_sub(2) > cfg.max_cover_candidates {
+                *truncated = true;
+                return None;
+            }
+            if oracle_has_cover(state, &g_m, selection) {
+                return None;
+            }
+            state.full_value(&all_paths)
+        })
+    }
+
+    /// A random receiver state: a connected graph on 4–10 nodes (D = 0,
+    /// R = the last node), views of a random kind, an adversary structure
+    /// that is a global or local threshold (t ∈ {1, 2}) or random sets,
+    /// silent nodes, conflicting claims, claims by fictitious nodes, and
+    /// honest, conflicting and fictitious type-1 trails. Budgets are drawn
+    /// small and large so the truncation paths run too.
+    fn random_case(seed: u64) -> (ReceiverState, DecisionConfig) {
+        use rand::Rng as _;
+        use rmt_graph::generators;
+        let mut rng = generators::seeded(seed);
+        let n = rng.random_range(4..=10usize);
+        let g = generators::gnp_connected(n, rng.random_range(0.15..0.6), &mut rng);
+        let dealer = NodeId::new(0);
+        let me = NodeId::new(n as u32 - 1);
+        let fictitious: Vec<NodeId> = (n as u32..n as u32 + 2).map(NodeId::new).collect();
+        let kind = [ViewKind::AdHoc, ViewKind::Radius(1), ViewKind::Radius(2)]
+            [rng.random_range(0..3usize)];
+        let t = rng.random_range(1..=2usize);
+        let mut relays = g.nodes().clone();
+        relays.remove(dealer);
+        relays.remove(me);
+        let random_sets = |rng: &mut rand_chacha::ChaCha12Rng, ground: &NodeSet| {
+            AdversaryStructure::from_sets((0..rng.random_range(1..4)).map(|_| {
+                ground
+                    .iter()
+                    .filter(|_| rng.random_bool(0.35))
+                    .collect::<NodeSet>()
+            }))
+        };
+        let style = rng.random_range(0..3u32);
+        let global = match style {
+            0 => rmt_adversary::threshold(&relays, t),
+            _ => random_sets(&mut rng, &relays),
+        };
+        let local = |view: &Graph, u: NodeId| match style {
+            1 => {
+                let mut around = view.nodes().clone();
+                around.remove(u);
+                rmt_adversary::local_threshold_trace(&around, t)
+            }
+            _ => global.restrict_sets(view.nodes()),
+        };
+
+        let my_view = kind.view_of(&g, me);
+        let my_structure = local(&my_view, me);
+        let mut state = ReceiverState::new(me, dealer, my_view, my_structure);
+        let mut everyone: NodeSet = g.nodes().clone();
+        everyone.extend(fictitious.iter().copied());
+        for u in g.nodes() {
+            if u == me {
+                continue;
+            }
+            if u == dealer || !rng.random_bool(0.15) {
+                let view = kind.view_of(&g, u);
+                let structure = local(&view, u);
+                state.ingest_claim(u, view, structure);
+            }
+            if rng.random_bool(0.2) {
+                // A conflicting claim: a random star around u, possibly
+                // reaching fictitious nodes, with a random structure.
+                let mut fake = Graph::new();
+                fake.add_node(u);
+                for v in everyone.iter().filter(|&v| v != u && rng.random_bool(0.4)) {
+                    fake.add_edge(u, v);
+                }
+                let structure = random_sets(&mut rng, fake.nodes());
+                state.ingest_claim(u, fake, structure);
+            }
+        }
+        for &f in &fictitious {
+            if rng.random_bool(0.3) {
+                let mut fake = Graph::new();
+                fake.add_node(f);
+                for v in g
+                    .nodes()
+                    .iter()
+                    .filter(|&v| v != me && rng.random_bool(0.4))
+                {
+                    fake.add_edge(f, v);
+                }
+                state.ingest_claim(f, fake, AdversaryStructure::trivial());
+            }
+        }
+        let honest = paths::simple_paths(&g, dealer, me, 500).unwrap_or_default();
+        for path in &honest {
+            let trail = &path[..path.len() - 1];
+            if rng.random_bool(0.85) {
+                state.ingest_value(7, trail);
+            }
+            if rng.random_bool(0.15) {
+                state.ingest_value(9, trail);
+            }
+        }
+        for &f in &fictitious {
+            if rng.random_bool(0.3) {
+                state.ingest_value(9, &[dealer, f]);
+            }
+        }
+        let cfg = DecisionConfig {
+            max_selections: [6, 48][rng.random_range(0..2usize)],
+            max_paths: [3, 50_000][usize::from(rng.random_bool(0.85))],
+            max_cover_candidates: [5, 22][usize::from(rng.random_bool(0.85))],
+        };
+        (state, cfg)
+    }
+
+    /// Compares the pruned cover search with the oracle on the `G_M` of
+    /// every selection within the budget; returns (covered, compared).
+    fn compare_covers(state: &ReceiverState, cfg: &DecisionConfig) -> (usize, usize) {
+        let (mut covered, mut compared) = (0, 0);
+        let mut visited = 0;
+        state.search_selections(cfg, |selection, truncated| {
+            if let Some((g_m, _)) = state.candidate(selection, cfg, truncated) {
+                let fast = state.has_adversary_cover(&g_m, selection, &mut visited);
+                assert_eq!(fast, oracle_has_cover(state, &g_m, selection), "{g_m:?}");
+                covered += usize::from(fast);
+                compared += 1;
+            }
+            None
+        });
+        (covered, compared)
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn pruned_cover_search_matches_the_exhaustive_oracle(seed in proptest::prelude::any::<u64>()) {
+            let (state, cfg) = random_case(seed);
+            compare_covers(&state, &cfg);
+            let (want, want_truncated, want_examined) = oracle_decide(&state, &cfg);
+            let mut fast = state.clone();
+            proptest::prop_assert_eq!(fast.decide(&cfg), want, "seed {}", seed);
+            proptest::prop_assert_eq!(fast.truncated, want_truncated, "seed {}", seed);
+            proptest::prop_assert_eq!(fast.selections_examined, want_examined as u64);
+        }
+    }
+
+    #[test]
+    fn cover_differential_exercises_both_verdicts() {
+        // The differential above is only meaningful if covers are found
+        // (the positive branch) as well as refuted, and if the receiver
+        // both decides and abstains.
+        let (mut covered, mut compared, mut decided, mut cases) = (0, 0, 0, 0);
+        for seed in 0..64 {
+            let (state, cfg) = random_case(seed);
+            let (c, n) = compare_covers(&state, &cfg);
+            covered += c;
+            compared += n;
+            decided += usize::from(state.clone().decide(&cfg).is_some());
+            cases += 1;
+        }
+        assert!(
+            covered * 20 >= compared && covered * 10 <= compared * 9,
+            "{covered} of {compared} G_M have a cover"
+        );
+        assert!(
+            decided > 0 && decided < cases,
+            "{decided} of {cases} decided"
+        );
     }
 
     use rmt_graph::Graph;

@@ -208,19 +208,25 @@ where
 {
     let mut emitted = 0u64;
     let mut outcome = AnchorScan::Exhausted;
-    traversal::for_each_connected_subset(g, root, &anchor.region, |b| {
-        if emitted >= max_emissions {
-            outcome = AnchorScan::BudgetExceeded;
-            return false;
-        }
-        emitted += 1;
-        let cut = neighborhood(g, b);
-        if anchor.separator.is_subset(&cut) && !f(b, &cut) {
-            outcome = AnchorScan::Stopped;
-            return false;
-        }
-        true
-    });
+    traversal::for_each_connected_subset(
+        g,
+        root,
+        &anchor.region,
+        |_, _| false,
+        |b| {
+            if emitted >= max_emissions {
+                outcome = AnchorScan::BudgetExceeded;
+                return false;
+            }
+            emitted += 1;
+            let cut = neighborhood(g, b);
+            if anchor.separator.is_subset(&cut) && !f(b, &cut) {
+                outcome = AnchorScan::Stopped;
+                return false;
+            }
+            true
+        },
+    );
     AnchorScanStats { outcome, emitted }
 }
 

@@ -75,7 +75,8 @@ pub fn neighborhood(g: &Graph, s: &NodeSet) -> NodeSet {
 }
 
 /// Visits every **connected** subset of `allowed` (connectivity taken in the
-/// subgraph induced on `allowed`) that contains `root`, each exactly once.
+/// subgraph induced on `allowed`) that contains `root`, each exactly once,
+/// except those a `prune` hook rules out.
 ///
 /// The enumeration is the classic include/exclude frontier recursion with
 /// polynomial delay: from the current set `S`, each extension vertex `v`
@@ -84,55 +85,83 @@ pub fn neighborhood(g: &Graph, s: &NodeSet) -> NodeSet {
 /// subset is ever produced twice. The order is deterministic: `{root}`
 /// first, then depth-first by ascending extension vertex.
 ///
+/// Before a set `S` is visited, `prune(S, frontier)` is asked, where
+/// `frontier` is the set of vertices the branch may still add next (the
+/// neighbours of `S` inside `allowed` not excluded on this path). Every set
+/// of the branch is a superset of `S` whose open neighbourhood contains
+/// `N(S) ∖ frontier`, the branch's committed boundary. Returning `true`
+/// skips `S` and its whole branch; a never-pruning hook (`|_, _| false`)
+/// visits every connected subset.
+///
 /// `f` returns `false` to stop the enumeration early; the function returns
 /// `true` iff the enumeration ran to completion. If `root ∉ allowed`,
 /// nothing is visited.
-pub fn for_each_connected_subset<F>(g: &Graph, root: NodeId, allowed: &NodeSet, mut f: F) -> bool
+pub fn for_each_connected_subset<P, F>(
+    g: &Graph,
+    root: NodeId,
+    allowed: &NodeSet,
+    mut prune: P,
+    mut f: F,
+) -> bool
 where
+    P: FnMut(&NodeSet, &NodeSet) -> bool,
     F: FnMut(&NodeSet) -> bool,
 {
     if !allowed.contains(root) || !g.contains_node(root) {
         return true;
     }
     let mut current = NodeSet::singleton(root);
+    let mut ext0 = g.neighbors(root).intersection(allowed);
+    ext0.remove(root);
+    if prune(&current, &ext0) {
+        return true;
+    }
     if !f(&current) {
         return false;
     }
-    // One explicit recursion frame per inclusion: the vertex chosen, the
-    // exclusion set to restore, and the remaining extension choices.
-    let mut ext0 = g.neighbors(root).intersection(allowed);
-    ext0.remove(root);
-    recurse(g, allowed, &mut current, ext0, &NodeSet::new(), &mut f)
+    recurse(
+        g,
+        allowed,
+        &mut current,
+        ext0,
+        &NodeSet::new(),
+        &mut prune,
+        &mut f,
+    )
 }
 
 /// One level of the include/exclude recursion: tries each extension vertex
-/// in ascending order, recursing with it included and excluding it
-/// afterwards. Returns `false` if `f` stopped the enumeration.
-fn recurse<F>(
+/// in ascending order, recursing with it included (unless `prune` refutes
+/// that branch) and excluding it afterwards. Returns `false` if `f` stopped
+/// the enumeration.
+fn recurse<P, F>(
     g: &Graph,
     allowed: &NodeSet,
     current: &mut NodeSet,
     extensions: NodeSet,
     excluded: &NodeSet,
+    prune: &mut P,
     f: &mut F,
 ) -> bool
 where
+    P: FnMut(&NodeSet, &NodeSet) -> bool,
     F: FnMut(&NodeSet) -> bool,
 {
     let mut excluded = excluded.clone();
     for v in &extensions {
         current.insert(v);
-        if !f(current) {
-            return false;
-        }
         // New frontier: v's neighbours inside `allowed`, minus what is
         // already in the set or excluded on this path.
         let mut next = extensions.union(&g.neighbors(v).intersection(allowed));
         next.difference_with(current);
         next.difference_with(&excluded);
-        next.remove(v);
-        if !recurse(g, allowed, current, next, &excluded, f) {
-            return false;
+        if !prune(current, &next) {
+            if !f(current) {
+                return false;
+            }
+            if !recurse(g, allowed, current, next, &excluded, prune, f) {
+                return false;
+            }
         }
         current.remove(v);
         excluded.insert(v);
@@ -330,10 +359,16 @@ mod tests {
                 None => continue,
             };
             let mut seen = Vec::new();
-            let completed = for_each_connected_subset(&g, root, &allowed, |s| {
-                seen.push(s.clone());
-                true
-            });
+            let completed = for_each_connected_subset(
+                &g,
+                root,
+                &allowed,
+                |_, _| false,
+                |s| {
+                    seen.push(s.clone());
+                    true
+                },
+            );
             assert!(completed);
             let mut expected = brute_connected_subsets(&g, root, &allowed);
             let mut got = seen.clone();
@@ -349,10 +384,16 @@ mod tests {
     fn connected_subset_enumeration_stops_early_and_handles_absent_root() {
         let g = generators::cycle(8);
         let mut count = 0;
-        let completed = for_each_connected_subset(&g, 0.into(), g.nodes(), |_| {
-            count += 1;
-            count < 5
-        });
+        let completed = for_each_connected_subset(
+            &g,
+            0.into(),
+            g.nodes(),
+            |_, _| false,
+            |_| {
+                count += 1;
+                count < 5
+            },
+        );
         assert!(!completed);
         assert_eq!(count, 5);
         // Root outside `allowed`: vacuously complete, nothing visited.
@@ -360,7 +401,84 @@ mod tests {
             &g,
             0.into(),
             &set(&[1, 2]),
+            |_, _| panic!("must not consult the prune hook"),
             |_| { panic!("must not visit") }
+        ));
+    }
+
+    #[test]
+    fn connected_subset_visit_order_is_fixed() {
+        // The 4-cycle 0-1-2-3-0 from root 0: depth-first by ascending
+        // extension vertex, with each set's frontier. Separator scans count
+        // emissions in this order, so it must not drift.
+        let g = generators::cycle(4);
+        let mut seen = Vec::new();
+        let mut frontiers = Vec::new();
+        let completed = for_each_connected_subset(
+            &g,
+            0.into(),
+            g.nodes(),
+            |s, frontier| {
+                frontiers.push((s.clone(), frontier.clone()));
+                false
+            },
+            |s| {
+                seen.push(s.clone());
+                true
+            },
+        );
+        assert!(completed);
+        let order: Vec<NodeSet> = [
+            &[0][..],
+            &[0, 1],
+            &[0, 1, 2],
+            &[0, 1, 2, 3],
+            &[0, 1, 3],
+            &[0, 3],
+            &[0, 2, 3],
+        ]
+        .iter()
+        .map(|ids| set(ids))
+        .collect();
+        assert_eq!(seen, order);
+        let expected_frontiers: Vec<NodeSet> = [&[1, 3][..], &[2, 3], &[3], &[], &[], &[2], &[]]
+            .iter()
+            .map(|ids| set(ids))
+            .collect();
+        assert_eq!(
+            frontiers,
+            order
+                .into_iter()
+                .zip(expected_frontiers)
+                .collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn pruning_a_set_skips_its_whole_branch() {
+        // Refuting {0,1} drops every set containing both 0 and 1 (the
+        // branch excludes nothing yet); node 1 is then excluded.
+        let g = generators::cycle(4);
+        let mut seen = Vec::new();
+        let completed = for_each_connected_subset(
+            &g,
+            0.into(),
+            g.nodes(),
+            |s, _| *s == set(&[0, 1]),
+            |s| {
+                seen.push(s.clone());
+                true
+            },
+        );
+        assert!(completed);
+        assert_eq!(seen, vec![set(&[0]), set(&[0, 3]), set(&[0, 2, 3])]);
+        // Pruning the root visits nothing and still completes.
+        assert!(for_each_connected_subset(
+            &g,
+            0.into(),
+            g.nodes(),
+            |_, _| true,
+            |_| panic!("pruned root must not be visited"),
         ));
     }
 

@@ -15,6 +15,51 @@ fn arb_connected() -> impl Strategy<Value = Graph> {
         .prop_map(|(n, p, seed)| generators::gnp_connected(n, p, &mut generators::seeded(seed)))
 }
 
+/// Per-node subset-closed families in the shape of the RMT-PKA cover test:
+/// node `u` admits a boundary `C` iff `C ∩ γ(u)` lies inside one of its
+/// maximal sets.
+#[derive(Debug)]
+struct Families {
+    gamma: Vec<NodeSet>,
+    maximal: Vec<Vec<NodeSet>>,
+}
+
+impl Families {
+    fn admits(&self, u: NodeId, boundary: &NodeSet) -> bool {
+        let trace = boundary.intersection(&self.gamma[u.index()]);
+        self.maximal[u.index()].iter().any(|m| trace.is_subset(m))
+    }
+
+    /// `true` iff some node of `b` rejects `boundary`.
+    fn refutes(&self, b: &NodeSet, boundary: &NodeSet) -> bool {
+        b.iter().any(|u| !self.admits(u, boundary))
+    }
+}
+
+/// A random graph on up to 12 nodes, an `allowed` mask and random families.
+fn arb_cover_case() -> impl Strategy<Value = (Graph, NodeSet, Families)> {
+    (1usize..=12, 0.1f64..0.7, any::<u64>()).prop_map(|(n, p, seed)| {
+        use rand::Rng as _;
+        let mut rng = generators::seeded(seed);
+        let g = generators::gnp(n, p, &mut rng);
+        let allowed: NodeSet = g.nodes().iter().filter(|_| rng.random_bool(0.8)).collect();
+        let mut gamma = Vec::new();
+        let mut maximal = Vec::new();
+        for u in g.nodes() {
+            let mut view: NodeSet = g.nodes().iter().filter(|_| rng.random_bool(0.6)).collect();
+            view.insert(u);
+            gamma.push(view);
+            let sets = rng.random_range(0..4);
+            maximal.push(
+                (0..sets)
+                    .map(|_| g.nodes().iter().filter(|_| rng.random_bool(0.4)).collect())
+                    .collect(),
+            );
+        }
+        (g, allowed, Families { gamma, maximal })
+    })
+}
+
 proptest! {
     #[test]
     fn components_partition_nodes(g in arb_graph()) {
@@ -114,5 +159,43 @@ proptest! {
                 prop_assert_eq!(ball.contains(u), within);
             }
         }
+    }
+
+    #[test]
+    fn pruned_connected_subset_search_is_exact(case in arb_cover_case()) {
+        // Pruning on the committed boundary N(S) ∖ frontier is exact for
+        // subset-closed families: the pruned search visits an ordered
+        // subsequence of the full scan and keeps every witness, i.e. every
+        // B with N(B) admitted by all of B.
+        let (g, allowed, fam) = case;
+        let root = NodeId::new(0);
+        let mut all = Vec::new();
+        prop_assert!(traversal::for_each_connected_subset(&g, root, &allowed, |_, _| false, |b| {
+            all.push(b.clone());
+            true
+        }));
+        let mut pruned = Vec::new();
+        prop_assert!(traversal::for_each_connected_subset(
+            &g,
+            root,
+            &allowed,
+            |b, frontier| {
+                let mut committed = traversal::neighborhood(&g, b);
+                committed.difference_with(frontier);
+                fam.refutes(b, &committed)
+            },
+            |b| {
+                pruned.push(b.clone());
+                true
+            },
+        ));
+        let mut rest = all.iter();
+        for b in &pruned {
+            prop_assert!(rest.any(|a| a == b), "{b:?} is not in the full scan's order");
+        }
+        let is_witness = |b: &&NodeSet| !fam.refutes(b, &traversal::neighborhood(&g, b));
+        let full: Vec<&NodeSet> = all.iter().filter(is_witness).collect();
+        let kept: Vec<&NodeSet> = pruned.iter().filter(is_witness).collect();
+        prop_assert_eq!(kept, full);
     }
 }

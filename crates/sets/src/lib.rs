@@ -10,7 +10,7 @@
 //! * values are kept in a normalized form (no trailing zero words) so that
 //!   `Eq`/`Hash`/`Ord` behave like mathematical set equality;
 //! * [`NodeSet::subsets`] and [`NodeSet::combinations`] drive the exhaustive
-//!   cut and cover searches in `rmt-core`.
+//!   cut searches and the receiver's exclusion-set enumeration in `rmt-core`.
 //!
 //! # Example
 //!

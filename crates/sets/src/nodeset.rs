@@ -232,7 +232,7 @@ impl NodeSet {
     /// deterministic order that begins with the empty set and ends with the
     /// full set.
     ///
-    /// This powers the exhaustive cut/cover searches in `rmt-core`.
+    /// This powers the exhaustive cut searches in `rmt-core`.
     ///
     /// # Panics
     ///

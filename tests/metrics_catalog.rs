@@ -94,10 +94,16 @@ fn emitted_names() -> (Vec<&'static str>, Vec<String>) {
     );
     state.ingest_value(7, &[0.into(), 1.into()]);
     state.ingest_value(7, &[0.into(), 2.into()]);
-    for relay in [1u32, 2] {
-        state.ingest_claim(relay.into(), inst.graph().clone(), inst.adversary().clone());
+    // The dealer's claim completes M, so both trails make it full and the
+    // adversary-cover search runs.
+    for u in [0u32, 1, 2] {
+        state.ingest_claim(u.into(), inst.graph().clone(), inst.adversary().clone());
     }
     let _ = state.decide_observed(&DecisionConfig::default(), &reg);
+    assert!(
+        reg.counter("pka.cover_components").get() > 0,
+        "the receiver workload no longer reaches the cover search"
+    );
 
     // The attack hunter: a tiny budget suffices — the hunt.* counters
     // register in `Hunter::new`, and a handful of candidates exercises the
@@ -163,6 +169,7 @@ fn every_emitted_metric_is_documented_in_metrics_md() {
         "zpp.corruption_sets_checked",
         "zcpa.sweeps",
         "pka.selections_examined",
+        "pka.cover_components",
         "pka.decide_ns",
         "join.folds",
         "family.joins_explicit",
