@@ -70,6 +70,19 @@ mod tests {
     }
 
     #[test]
+    fn large_threshold_matches_the_explicit_build() {
+        // C(20, 4) = 4 845 candidates: the exact size hint of the
+        // combinations selects the trie backend, which must agree with the
+        // explicit sorted-list build set for set.
+        let u = NodeSet::universe(20);
+        let z = threshold(&u, 4);
+        let explicit =
+            AdversaryStructure::from_sets_with(crate::FamilyBackend::Explicit, u.combinations(4));
+        assert_eq!(z.maximal_sets().len(), 4845);
+        assert_eq!(z, explicit);
+    }
+
+    #[test]
     fn local_trace_over_sparse_neighbourhood() {
         let nbhd: NodeSet = [3u32, 7, 9].into_iter().collect();
         let z = local_threshold_trace(&nbhd, 1);

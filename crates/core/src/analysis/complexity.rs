@@ -22,6 +22,7 @@ use rmt_sets::{NodeId, NodeSet};
 
 use crate::cuts::zcpa_fixpoint;
 use crate::instance::Instance;
+use crate::knowledge::KnowledgeCache;
 
 /// Exact honest-run (silent corruption) Z-CPA message count.
 ///
@@ -140,6 +141,7 @@ pub fn zcpa_decision_rounds(inst: &Instance, corrupted: &NodeSet) -> Vec<Option<
     let size = g.nodes().last().map_or(0, |v| v.index() + 1);
     let mut decided_at: Vec<Option<u32>> = vec![None; size];
     decided_at[d.index()] = Some(0);
+    let cache = KnowledgeCache::new(inst);
 
     for round in 1..=g.node_count() as u32 + 2 {
         let mut progress = false;
@@ -166,7 +168,7 @@ pub fn zcpa_decision_rounds(inst: &Instance, corrupted: &NodeSet) -> Vec<Option<
                         && decided_at[w.index()].is_some_and(|s| s < round)
                 })
                 .collect();
-            if !inst.local_structure(u).contains(&class) {
+            if !cache.part(u).structure().contains(&class) {
                 decided_at[u.index()] = Some(round);
                 progress = true;
             }

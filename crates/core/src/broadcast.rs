@@ -15,7 +15,9 @@
 use rmt_sets::{NodeId, NodeSet};
 
 use crate::cuts::zcpa_fixpoint_broadcast;
+use crate::cuts::zpp::{certified_fixpoint, zpp_admissible_partition};
 use crate::instance::Instance;
+use crate::knowledge::KnowledgeCache;
 use crate::protocols::zcpa::{ExplicitOracle, ZCpa};
 use crate::protocols::Value;
 
@@ -66,8 +68,10 @@ pub fn zpp_cut_exists(inst: &Instance) -> Option<BroadcastCutWitness> {
         }
         c
     };
+    let cache = KnowledgeCache::new(inst);
     for t in corruptions {
-        let decided = coverage(inst, &t);
+        // `coverage`, with 𝒵 restricted once for the whole scan.
+        let decided = certified_fixpoint(inst, &cache, &t, None, None);
         let mut required = everyone.difference(&t);
         required.remove(d);
         if !required.is_subset(&decided) {
@@ -106,6 +110,7 @@ pub fn zpp_cut_by_enumeration(inst: &Instance) -> bool {
     let g = inst.graph();
     let mut candidates = g.nodes().clone();
     candidates.remove(d);
+    let cache = KnowledgeCache::new(inst);
     for c in candidates.subsets() {
         // WLOG B is one far component or any union thereof; taking the whole
         // far side is hardest for the ∀u∈B condition, but any component
@@ -115,7 +120,7 @@ pub fn zpp_cut_by_enumeration(inst: &Instance) -> bool {
             if comp.contains(d) {
                 continue;
             }
-            if crate::cuts::zpp::zpp_admissible_partition(inst, &c, &comp, None).is_some() {
+            if zpp_admissible_partition(inst, &cache, &c, &comp, None).is_some() {
                 return true;
             }
         }

@@ -20,8 +20,9 @@
 //!    deduplication ([`rmt_graph::separators::scan_anchor`]). The anchors
 //!    are independent, which is what the rmt-par twins parallelize over.
 //! 3. **Everything is allocation-light.** Component extraction is masked
-//!    BFS (no graph clones) and the [`KnowledgeCache`] memoizes
-//!    `V(γ(B))` per component bitset.
+//!    BFS (no graph clones), and one [`KnowledgeCache`] per search holds
+//!    every `𝒵_u` both partition checks read and memoizes `V(γ(B))` per
+//!    component bitset.
 //!
 //! The searches are **budgeted**: if the separator enumeration or a
 //! per-anchor component scan exceeds [`AnchorBudget`], the decider falls
@@ -128,10 +129,11 @@ pub(crate) fn scan_rmt_anchor(
     (outcome, stats.emitted)
 }
 
-/// Scans one anchor for a 𝒵-pp-cut witness; same contract as
-/// [`scan_rmt_anchor`].
+/// Scans one anchor for a 𝒵-pp-cut witness, reading every `𝒵_u` from
+/// `cache`; same contract as [`scan_rmt_anchor`].
 pub(crate) fn scan_zpp_anchor(
     inst: &Instance,
+    cache: &KnowledgeCache,
     anchor: &CutAnchor,
     budget: &AnchorBudget,
     plausibility_checks: Option<&Counter>,
@@ -142,7 +144,7 @@ pub(crate) fn scan_zpp_anchor(
         anchor,
         inst.receiver(),
         budget.max_components_per_anchor,
-        |b, cut| match zpp_admissible_partition(inst, cut, b, plausibility_checks) {
+        |b, cut| match zpp_admissible_partition(inst, cache, cut, b, plausibility_checks) {
             Some((c1, c2)) => {
                 found = Some(ZppCutWitness {
                     cut: cut.clone(),
@@ -297,8 +299,9 @@ pub fn zpp_cut_by_enumeration_anchored_with(
         Ok(anchors) => anchors,
         Err(_) => return zpp_cut_by_enumeration(inst),
     };
+    let cache = KnowledgeCache::new(inst);
     for anchor in &anchors {
-        match scan_zpp_anchor(inst, anchor, budget, None).0 {
+        match scan_zpp_anchor(inst, &cache, anchor, budget, None).0 {
             Some(AnchorOutcome::Witness(w)) => return Some(w),
             Some(AnchorOutcome::Overflow) => return zpp_cut_by_enumeration(inst),
             None => {}
@@ -336,9 +339,11 @@ pub fn zpp_cut_by_enumeration_anchored_observed(
     let separators_enumerated = reg.counter("zpp.separators_enumerated");
     let components_enumerated = reg.counter("zpp.components_enumerated");
     let plausibility_checks = reg.counter("zpp.plausibility_checks");
+    let cache = KnowledgeCache::new(inst);
     for anchor in &anchors {
         separators_enumerated.inc();
-        let (outcome, emitted) = scan_zpp_anchor(inst, anchor, &budget, Some(&plausibility_checks));
+        let (outcome, emitted) =
+            scan_zpp_anchor(inst, &cache, anchor, &budget, Some(&plausibility_checks));
         components_enumerated.add(emitted);
         match outcome {
             Some(AnchorOutcome::Witness(w)) => return Some(w),
@@ -416,7 +421,7 @@ mod tests {
                 "trial {trial}"
             );
             if let Some(w) = anchored {
-                assert!(is_zpp_cut(&inst, &w.cut).is_some(), "trial {trial}");
+                assert!(is_zpp_cut(&inst, &cache, &w.cut).is_some(), "trial {trial}");
             }
         }
     }

@@ -12,8 +12,9 @@
 //!   whole witness (a pure function of the cut), is the same;
 //! * the fixpoint decider ([`zpp_cut_by_fixpoint_par`]) searches the
 //!   worst-case-corruption list for the least failing index the same way;
-//! * the read-only [`KnowledgeCache`] is built once and shared by all
-//!   workers.
+//! * the read-only [`KnowledgeCache`] is built once per decider call and
+//!   shared by all workers (it is `Sync`); every 𝒵_B and 𝒵_u they test
+//!   comes from it.
 //!
 //! The `_observed` variants keep the metric names of the sequential
 //! instrumented deciders and their **values** deterministic: search-extent
@@ -37,10 +38,7 @@ use super::anchored::{
     instance_anchors, scan_rmt_anchor, scan_zpp_anchor, AnchorBudget, AnchorOutcome,
 };
 use super::rmt_cut::{is_rmt_cut, is_rmt_cut_counted, RmtCutWitness};
-use super::zpp::{
-    is_zpp_cut, witness_from_failed_corruption, zcpa_fixpoint, zcpa_fixpoint_observed,
-    ZppCutWitness,
-};
+use super::zpp::{certified_fixpoint, is_zpp_cut, witness_from_failed_corruption, ZppCutWitness};
 
 /// The cut-candidate base set V∖{D,R} shared by the exhaustive searches.
 fn cut_candidates(inst: &Instance) -> NodeSet {
@@ -222,8 +220,9 @@ pub fn zpp_cut_by_enumeration_anchored_par(
         Ok(anchors) => anchors,
         Err(_) => return zpp_cut_by_enumeration_par(inst, threads),
     };
+    let cache = KnowledgeCache::new(inst);
     let found = search_min(anchors.len() as u64, threads, 1, |idx| {
-        scan_zpp_anchor(inst, &anchors[idx as usize], &budget, None).0
+        scan_zpp_anchor(inst, &cache, &anchors[idx as usize], &budget, None).0
     });
     match found {
         Some((_, AnchorOutcome::Witness(w))) => Some(w),
@@ -238,9 +237,10 @@ pub fn zpp_cut_by_enumeration_par(inst: &Instance, threads: usize) -> Option<Zpp
     if inst.graph().has_edge(inst.dealer(), inst.receiver()) {
         return None;
     }
+    let cache = KnowledgeCache::new(inst);
     let candidates = cut_candidates(inst);
     search_min(candidates.subset_count(), threads, 0, |idx| {
-        is_zpp_cut(inst, &candidates.subset_at(idx))
+        is_zpp_cut(inst, &cache, &candidates.subset_at(idx))
     })
     .map(|(_, w)| w)
 }
@@ -261,10 +261,11 @@ pub fn zpp_cut_by_fixpoint_par(inst: &Instance, threads: usize) -> Option<ZppCut
             c2: NodeSet::new(),
         });
     }
+    let cache = KnowledgeCache::new(inst);
     let corruptions = inst.worst_case_corruptions();
     search_min(corruptions.len() as u64, threads, 1, |idx| {
         let t = &corruptions[idx as usize];
-        let decided = zcpa_fixpoint(inst, t);
+        let decided = certified_fixpoint(inst, &cache, t, Some(r), None);
         (!decided.contains(r)).then(|| witness_from_failed_corruption(inst, t, &decided))
     })
     .map(|(_, w)| w)
@@ -295,12 +296,13 @@ pub fn zpp_cut_by_fixpoint_par_observed(
         });
     }
     let sets_checked = reg.counter("zpp.corruption_sets_checked");
+    let cache = KnowledgeCache::new(inst);
     let corruptions = inst.worst_case_corruptions();
     let shards: Mutex<Vec<(u64, Registry)>> = Mutex::new(Vec::new());
     let found = search_min(corruptions.len() as u64, threads, 1, |idx| {
         let shard = Registry::new();
         let t = &corruptions[idx as usize];
-        let decided = zcpa_fixpoint_observed(inst, t, &shard);
+        let decided = certified_fixpoint(inst, &cache, t, Some(r), Some(&shard));
         shards.lock().expect("shard lock").push((idx, shard));
         (!decided.contains(r)).then(|| witness_from_failed_corruption(inst, t, &decided))
     });

@@ -16,12 +16,18 @@
 //!   `decided ← decided ∪ { honest u | 𝒩(u) ∩ decided ∉ 𝒵_u }`
 //!   seeded with D's honest neighbours, and a failing `T` yields the witness
 //!   `C₁ = T`, `C₂ = decided`.
+//!
+//! Both conditions test `𝒩(u) ∩ S ∈ 𝒵_u` many times over. Every local
+//! structure `𝒵_u` is read from a [`KnowledgeCache`] built once per decider
+//! call (or, in the [`IncrementalEngine`](crate::engine::IncrementalEngine),
+//! the engine's refreshed cache) — never re-restricted from 𝒵 per test.
 
 use rmt_graph::traversal;
 use rmt_obs::{Counter, Registry};
 use rmt_sets::NodeSet;
 
 use crate::instance::Instance;
+use crate::knowledge::KnowledgeCache;
 
 /// A witness that an RMT 𝒵-pp cut exists.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -34,8 +40,9 @@ pub struct ZppCutWitness {
     pub c2: NodeSet,
 }
 
-/// Checks whether `c` is an RMT 𝒵-pp cut, returning the partition.
-pub fn is_zpp_cut(inst: &Instance, c: &NodeSet) -> Option<ZppCutWitness> {
+/// Checks whether `c` is an RMT 𝒵-pp cut, returning the partition. The
+/// local structures come from `cache`, which must be built from `inst`.
+pub fn is_zpp_cut(inst: &Instance, cache: &KnowledgeCache, c: &NodeSet) -> Option<ZppCutWitness> {
     let (d, r) = (inst.dealer(), inst.receiver());
     if c.contains(d) || c.contains(r) {
         return None;
@@ -45,7 +52,7 @@ pub fn is_zpp_cut(inst: &Instance, c: &NodeSet) -> Option<ZppCutWitness> {
     if b.contains(d) {
         return None;
     }
-    zpp_admissible_partition(inst, c, &b, None).map(|(c1, c2)| ZppCutWitness {
+    zpp_admissible_partition(inst, cache, c, &b, None).map(|(c1, c2)| ZppCutWitness {
         cut: c.clone(),
         c1,
         c2,
@@ -57,9 +64,11 @@ pub fn is_zpp_cut(inst: &Instance, c: &NodeSet) -> Option<ZppCutWitness> {
 /// `𝒩(u) ∩ C₂ ∈ 𝒵_u` for every `u ∈ b`. Shared by [`is_zpp_cut`], the
 /// anchored decider (which enumerates `b` directly) and the broadcast
 /// decider (where `b` ranges over all far components), so the condition
-/// cannot drift between them.
+/// cannot drift between them. Each `𝒵_u` is `cache.part(u)`'s structure,
+/// exactly [`Instance::local_structure`]`(u)`.
 pub(crate) fn zpp_admissible_partition(
     inst: &Instance,
+    cache: &KnowledgeCache,
     c: &NodeSet,
     b: &NodeSet,
     plausibility_checks: Option<&Counter>,
@@ -67,7 +76,7 @@ pub(crate) fn zpp_admissible_partition(
     let locally_plausible = |c2: &NodeSet| {
         b.iter().all(|u| {
             let trace = inst.graph().neighbors(u).intersection(c2);
-            inst.local_structure(u).contains(&trace)
+            cache.part(u).structure().contains(&trace)
         })
     };
     for t in inst.adversary().maximal_sets() {
@@ -98,7 +107,10 @@ pub fn zpp_cut_by_enumeration(inst: &Instance) -> Option<ZppCutWitness> {
     let mut candidates = inst.graph().nodes().clone();
     candidates.remove(inst.dealer());
     candidates.remove(inst.receiver());
-    candidates.subsets().find_map(|c| is_zpp_cut(inst, &c))
+    let cache = KnowledgeCache::new(inst);
+    candidates
+        .subsets()
+        .find_map(|c| is_zpp_cut(inst, &cache, &c))
 }
 
 /// The worst-case Z-CPA decided set against corruption set `corrupted`:
@@ -113,7 +125,8 @@ pub fn zpp_cut_by_enumeration(inst: &Instance) -> Option<ZppCutWitness> {
 /// nodes downstream of R: R's own status is unaffected, because any node
 /// that would need R's relay decides strictly after R).
 pub fn zcpa_fixpoint(inst: &Instance, corrupted: &NodeSet) -> NodeSet {
-    certified_fixpoint(inst, corrupted, Some(inst.receiver()), None)
+    let cache = KnowledgeCache::new(inst);
+    certified_fixpoint(inst, &cache, corrupted, Some(inst.receiver()), None)
 }
 
 /// [`zcpa_fixpoint`] with the fixpoint effort recorded in `reg`:
@@ -122,39 +135,40 @@ pub fn zcpa_fixpoint(inst: &Instance, corrupted: &NodeSet) -> NodeSet {
 /// * `zcpa.certification_checks` — membership tests of a certifier set
 ///   against a local structure 𝒵_u.
 pub fn zcpa_fixpoint_observed(inst: &Instance, corrupted: &NodeSet, reg: &Registry) -> NodeSet {
-    let _phase = reg.phase("zcpa.fixpoint");
-    let stats = FixpointStats {
-        sweeps: reg.counter("zcpa.sweeps"),
-        certification_checks: reg.counter("zcpa.certification_checks"),
-    };
-    certified_fixpoint(inst, corrupted, Some(inst.receiver()), Some(&stats))
+    let cache = KnowledgeCache::new(inst);
+    certified_fixpoint(inst, &cache, corrupted, Some(inst.receiver()), Some(reg))
 }
 
 /// The broadcast variant of [`zcpa_fixpoint`]: no distinguished receiver,
 /// every decided node relays (used by [`broadcast`](crate::broadcast)).
 pub fn zcpa_fixpoint_broadcast(inst: &Instance, corrupted: &NodeSet) -> NodeSet {
-    certified_fixpoint(inst, corrupted, None, None)
+    certified_fixpoint(inst, &KnowledgeCache::new(inst), corrupted, None, None)
 }
 
-struct FixpointStats {
-    sweeps: Counter,
-    certification_checks: Counter,
-}
-
-fn certified_fixpoint(
+/// The certified-propagation fixpoint behind every `zcpa_fixpoint*`
+/// variant, reading each 𝒵_u from `cache` (built from `inst`), so a decider
+/// trying many corruption sets restricts 𝒵 once per call. `non_relaying`
+/// is the receiver (RMT) or `None` (broadcast); with a registry the effort
+/// is recorded as in [`zcpa_fixpoint_observed`], under a `zcpa.fixpoint`
+/// phase span.
+pub(crate) fn certified_fixpoint(
     inst: &Instance,
+    cache: &KnowledgeCache,
     corrupted: &NodeSet,
     non_relaying: Option<rmt_sets::NodeId>,
-    stats: Option<&FixpointStats>,
+    reg: Option<&Registry>,
 ) -> NodeSet {
+    let _phase = reg.and_then(|reg| reg.phase("zcpa.fixpoint"));
+    let sweeps = reg.map(|reg| reg.counter("zcpa.sweeps"));
+    let certification_checks = reg.map(|reg| reg.counter("zcpa.certification_checks"));
     let g = inst.graph();
     let d = inst.dealer();
     let mut decided: NodeSet = g.neighbors(d).difference(corrupted).iter().collect();
     let mut changed = true;
     while changed {
         changed = false;
-        if let Some(s) = stats {
-            s.sweeps.inc();
+        if let Some(c) = &sweeps {
+            c.inc();
         }
         for u in g.nodes() {
             if u == d || decided.contains(u) || corrupted.contains(u) {
@@ -164,10 +178,10 @@ fn certified_fixpoint(
             if let Some(r) = non_relaying {
                 certifiers.remove(r);
             }
-            if let Some(s) = stats {
-                s.certification_checks.inc();
+            if let Some(c) = &certification_checks {
+                c.inc();
             }
-            if !inst.local_structure(u).contains(&certifiers) {
+            if !cache.part(u).structure().contains(&certifiers) {
                 decided.insert(u);
                 changed = true;
             }
@@ -183,19 +197,7 @@ fn certified_fixpoint(
 /// undecided region, and every undecided `u` has `𝒩(u) ∩ C₂ ∈ 𝒵_u` by
 /// the fixpoint's stopping condition).
 pub fn zpp_cut_by_fixpoint(inst: &Instance) -> Option<ZppCutWitness> {
-    let (d, r) = (inst.dealer(), inst.receiver());
-    if inst.graph().has_edge(d, r) {
-        return None;
-    }
-    if !inst.endpoints_connected() {
-        // The empty set separates; it is vacuously a 𝒵-pp cut.
-        return Some(ZppCutWitness {
-            cut: NodeSet::new(),
-            c1: NodeSet::new(),
-            c2: NodeSet::new(),
-        });
-    }
-    zpp_fixpoint_search(inst, |t| zcpa_fixpoint(inst, t))
+    fixpoint_search(inst, None)
 }
 
 /// [`zpp_cut_by_fixpoint`] with decision effort recorded in `reg`:
@@ -209,31 +211,31 @@ pub fn zpp_cut_by_fixpoint(inst: &Instance) -> Option<ZppCutWitness> {
 pub fn zpp_cut_by_fixpoint_observed(inst: &Instance, reg: &Registry) -> Option<ZppCutWitness> {
     let _phase = reg.phase("zpp.decide");
     let _timer = reg.timer("zpp.decide_ns");
+    fixpoint_search(inst, Some(reg))
+}
+
+/// The body of both fixpoint deciders: one [`KnowledgeCache`] for the whole
+/// scan over the worst-case corruption sets.
+fn fixpoint_search(inst: &Instance, reg: Option<&Registry>) -> Option<ZppCutWitness> {
     let (d, r) = (inst.dealer(), inst.receiver());
     if inst.graph().has_edge(d, r) {
         return None;
     }
     if !inst.endpoints_connected() {
+        // The empty set separates; it is vacuously a 𝒵-pp cut.
         return Some(ZppCutWitness {
             cut: NodeSet::new(),
             c1: NodeSet::new(),
             c2: NodeSet::new(),
         });
     }
-    let sets_checked = reg.counter("zpp.corruption_sets_checked");
-    zpp_fixpoint_search(inst, |t| {
-        sets_checked.inc();
-        zcpa_fixpoint_observed(inst, t, reg)
-    })
-}
-
-fn zpp_fixpoint_search(
-    inst: &Instance,
-    mut fixpoint: impl FnMut(&NodeSet) -> NodeSet,
-) -> Option<ZppCutWitness> {
-    let r = inst.receiver();
+    let sets_checked = reg.map(|reg| reg.counter("zpp.corruption_sets_checked"));
+    let cache = KnowledgeCache::new(inst);
     for t in inst.worst_case_corruptions() {
-        let decided = fixpoint(&t);
+        if let Some(c) = &sets_checked {
+            c.inc();
+        }
+        let decided = certified_fixpoint(inst, &cache, &t, Some(r), reg);
         if !decided.contains(r) {
             return Some(witness_from_failed_corruption(inst, &t, &decided));
         }
@@ -289,9 +291,10 @@ pub fn zcpa_resilient(inst: &Instance) -> bool {
     if inst.graph().has_edge(inst.dealer(), r) {
         return true;
     }
+    let cache = KnowledgeCache::new(inst);
     inst.worst_case_corruptions()
         .iter()
-        .all(|t| zcpa_fixpoint(inst, t).contains(r))
+        .all(|t| certified_fixpoint(inst, &cache, t, Some(r), None).contains(r))
 }
 
 #[cfg(test)]
@@ -350,7 +353,8 @@ mod tests {
         let z = AdversaryStructure::from_sets([set(&[1]), set(&[2])]);
         let inst = adhoc(diamond(), z, 0, 3);
         let w = zpp_cut_by_fixpoint(&inst).unwrap();
-        let confirmed = is_zpp_cut(&inst, &w.cut).expect("witness must verify");
+        let cache = KnowledgeCache::new(&inst);
+        let confirmed = is_zpp_cut(&inst, &cache, &w.cut).expect("witness must verify");
         assert_eq!(confirmed.cut, w.cut);
     }
 
@@ -394,6 +398,157 @@ mod tests {
         assert!(reg.counter("zcpa.certification_checks").get() > 0);
         assert!(reg.counter("zpp.corruption_sets_checked").get() > 0);
         assert_eq!(reg.histogram("zpp.decide_ns").count(), 20);
+    }
+
+    /// The Definition-7 partition search as it ran before 𝒵_u came from a
+    /// [`KnowledgeCache`]: every membership test re-restricts 𝒵 through
+    /// [`Instance::local_structure`]. Kept as the differential oracle.
+    fn partition_by_restriction(
+        inst: &Instance,
+        c: &NodeSet,
+        b: &NodeSet,
+        checks: &Counter,
+    ) -> Option<(NodeSet, NodeSet)> {
+        let locally_plausible = |c2: &NodeSet| {
+            b.iter().all(|u| {
+                let trace = inst.graph().neighbors(u).intersection(c2);
+                inst.local_structure(u).contains(&trace)
+            })
+        };
+        for t in inst.adversary().maximal_sets() {
+            checks.inc();
+            let c2 = c.difference(t);
+            if locally_plausible(&c2) {
+                return Some((c.intersection(t), c2));
+            }
+        }
+        if inst.adversary().maximal_sets().is_empty() {
+            checks.inc();
+            if locally_plausible(c) {
+                return Some((NodeSet::new(), c.clone()));
+            }
+        }
+        None
+    }
+
+    /// The certified-propagation fixpoint with one restriction of 𝒵 per
+    /// node per sweep, as it ran before the cache. Differential oracle.
+    fn fixpoint_by_restriction(
+        inst: &Instance,
+        corrupted: &NodeSet,
+        non_relaying: Option<rmt_sets::NodeId>,
+    ) -> NodeSet {
+        let g = inst.graph();
+        let d = inst.dealer();
+        let mut decided: NodeSet = g.neighbors(d).difference(corrupted).iter().collect();
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for u in g.nodes() {
+                if u == d || decided.contains(u) || corrupted.contains(u) {
+                    continue;
+                }
+                let mut certifiers = g.neighbors(u).intersection(&decided);
+                if let Some(r) = non_relaying {
+                    certifiers.remove(r);
+                }
+                if !inst.local_structure(u).contains(&certifiers) {
+                    decided.insert(u);
+                    changed = true;
+                }
+            }
+        }
+        decided
+    }
+
+    /// Cache-read and re-restricting searches agree on the partition (and
+    /// its `zpp.plausibility_checks` count) for every connected `B ∋ R`
+    /// with cut `C = N(B)`, and on the fixpoint for every worst-case
+    /// corruption, in both the RMT and the broadcast variant. Returns the
+    /// number of components compared.
+    fn assert_cache_matches_restriction(inst: &Instance) -> usize {
+        let g = inst.graph();
+        let mut compared = 0;
+        let (d, r) = (inst.dealer(), inst.receiver());
+        let cache = KnowledgeCache::new(inst);
+        let mut allowed = g.nodes().clone();
+        allowed.remove(d);
+        traversal::for_each_connected_subset(
+            g,
+            r,
+            &allowed,
+            |_, _| false,
+            |b| {
+                let c = traversal::neighborhood(g, b);
+                if !c.contains(d) {
+                    let (cached, restricted) = (Counter::new(), Counter::new());
+                    assert_eq!(
+                        zpp_admissible_partition(inst, &cache, &c, b, Some(&cached)),
+                        partition_by_restriction(inst, &c, b, &restricted),
+                        "B = {b}"
+                    );
+                    assert_eq!(cached.get(), restricted.get(), "B = {b}");
+                    compared += 1;
+                }
+                true
+            },
+        );
+        for t in inst.worst_case_corruptions() {
+            assert_eq!(
+                certified_fixpoint(inst, &cache, &t, Some(r), None),
+                fixpoint_by_restriction(inst, &t, Some(r)),
+                "T = {t}"
+            );
+            assert_eq!(
+                certified_fixpoint(inst, &cache, &t, None, None),
+                fixpoint_by_restriction(inst, &t, None),
+                "T = {t}"
+            );
+        }
+        compared
+    }
+
+    const VIEWS: [ViewKind; 5] = [
+        ViewKind::AdHoc,
+        ViewKind::Full,
+        ViewKind::Radius(0),
+        ViewKind::Radius(1),
+        ViewKind::Radius(2),
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// Random instances with n ≤ 12 under every view kind.
+        #[test]
+        fn cache_reads_match_restriction_on_random_instances(
+            n in 5usize..13,
+            seed in 0u64..u64::MAX,
+            view in 0usize..5,
+        ) {
+            let mut rng = generators::seeded(seed);
+            let inst = crate::sampling::random_instance_nonadjacent(
+                n, 0.3, VIEWS[view], 6, 3, &mut rng,
+            );
+            assert_cache_matches_restriction(&inst);
+        }
+    }
+
+    /// n = 12 with t = 4: 495 maximal sets, so every 𝒵_u is a trie-built
+    /// part. The oracle re-restricts all 495 sets on every test, which takes
+    /// tens of seconds per instance in a debug build once the view domains
+    /// grow, so this covers the two smallest views that reach the
+    /// neighbours (ad hoc and radius 1); the random instances above cover
+    /// every view kind.
+    #[test]
+    fn cache_reads_match_restriction_on_large_structures() {
+        let mut rng = generators::seeded(0x2CA);
+        for view in [ViewKind::AdHoc, ViewKind::Radius(1)] {
+            let g = generators::ring_with_chords(12, 2, &mut rng);
+            let inst = crate::sampling::threshold_instance(g, 4, view, 0, 6);
+            assert_eq!(inst.adversary().maximal_sets().len(), 495);
+            assert!(assert_cache_matches_restriction(&inst) > 0, "{view:?}");
+        }
     }
 
     #[test]

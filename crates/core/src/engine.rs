@@ -374,7 +374,7 @@ impl IncrementalEngine {
                 std::collections::hash_map::Entry::Vacant(e) => {
                     reuse.misses += 1;
                     let (outcome, _emitted) =
-                        scan_zpp_anchor(&self.inst, anchor, &self.budget, None);
+                        scan_zpp_anchor(&self.inst, &self.cache, anchor, &self.budget, None);
                     e.insert(Cert {
                         outcome,
                         footprint: anchor_footprint(self.inst.graph(), anchor),

@@ -200,6 +200,12 @@ impl Instance {
 
     /// 𝒵_v = 𝒵^{V(γ(v))}: the local adversary structure of `v`, as a plain
     /// monotone family over the view domain.
+    ///
+    /// Each call restricts every maximal set of 𝒵 afresh: O(|𝒵|) work and a
+    /// new family. Call it once per node (e.g. to build a protocol node);
+    /// loops that test membership repeatedly must read
+    /// [`KnowledgeCache::part`](crate::KnowledgeCache::part)`(v).structure()`,
+    /// which holds the same family built once.
     pub fn local_structure(&self, v: NodeId) -> AdversaryStructure {
         self.adversary.restrict_sets(&self.view_domain(v))
     }

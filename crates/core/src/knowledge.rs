@@ -5,6 +5,15 @@
 //! structure once and answers joint-membership queries with the cylinder
 //! characterization (see `rmt-adversary`), avoiding any antichain blow-up.
 //!
+//! The same parts are the one source of each local structure `𝒵_u` for the
+//! 𝒵-pp partition search and the Z-CPA fixpoint:
+//! `cache.part(u).structure()` is exactly
+//! [`Instance::local_structure`]`(u)`, built once instead of on every
+//! membership test. A from-scratch decider builds one cache per call (its
+//! parallel workers share it: the cache is `Sync`); the
+//! [`IncrementalEngine`](crate::engine::IncrementalEngine) refreshes one
+//! cache across deltas and hands it to both of its searches.
+//!
 //! Since many candidate cuts induce the *same* receiver component `B`, the
 //! cache additionally memoizes the joint domain `V(γ(B))` keyed on `B`'s
 //! bitset: [`KnowledgeCache::joint_domain`] (and through it

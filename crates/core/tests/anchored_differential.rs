@@ -84,8 +84,9 @@ fn check_zpp(inst: &Instance) {
     let anchored = zpp_cut_by_enumeration_anchored(inst);
     assert_eq!(exhaustive.is_some(), anchored.is_some());
     if let Some(w) = &anchored {
+        let cache = KnowledgeCache::new(inst);
         assert!(
-            is_zpp_cut(inst, &w.cut).is_some(),
+            is_zpp_cut(inst, &cache, &w.cut).is_some(),
             "anchored witness fails ground-truth verification: {:?}",
             w
         );

@@ -97,12 +97,17 @@ impl ExactSizeIterator for Subsets {}
 /// Iterator over the `k`-element subsets of a [`NodeSet`].
 ///
 /// Produced by [`NodeSet::combinations`]. Subsets are produced in
-/// lexicographic order of their sorted member lists.
+/// lexicographic order of their sorted member lists. The size hint is
+/// exact (so collecting consumers such as `AdversaryStructure::from_sets`
+/// can size their build up front) as long as `C(n, k)` fits in a `usize`;
+/// beyond that the hint is `(usize::MAX, None)`.
 #[derive(Clone, Debug)]
 pub struct Combinations {
     elements: Vec<NodeId>,
     indices: Vec<usize>,
     done: bool,
+    /// Subsets still to come; `None` if the count overflows `usize`.
+    remaining: Option<usize>,
 }
 
 impl Combinations {
@@ -110,11 +115,26 @@ impl Combinations {
         let elements = base.to_vec();
         let done = k > elements.len();
         Combinations {
+            remaining: binomial(elements.len(), k),
             indices: (0..k).collect(),
             elements,
             done,
         }
     }
+}
+
+/// `C(n, k)`, or `None` if it does not fit in a `usize`.
+fn binomial(n: usize, k: usize) -> Option<usize> {
+    if k > n {
+        return Some(0);
+    }
+    let k = k.min(n - k);
+    // C(n, i + 1) = C(n, i) · (n − i) / (i + 1), exact at every step.
+    let mut acc: u128 = 1;
+    for i in 0..k {
+        acc = acc.checked_mul((n - i) as u128)? / (i as u128 + 1);
+    }
+    usize::try_from(acc).ok()
 }
 
 impl Iterator for Combinations {
@@ -125,6 +145,9 @@ impl Iterator for Combinations {
             return None;
         }
         let out: NodeSet = self.indices.iter().map(|&i| self.elements[i]).collect();
+        if let Some(left) = &mut self.remaining {
+            *left -= 1;
+        }
         // Advance to the next lexicographic index combination.
         let k = self.indices.len();
         let n = self.elements.len();
@@ -149,7 +172,16 @@ impl Iterator for Combinations {
         }
         Some(out)
     }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        match self.remaining {
+            Some(left) => (left, Some(left)),
+            None => (usize::MAX, None),
+        }
+    }
 }
+
+impl ExactSizeIterator for Combinations {}
 
 #[cfg(test)]
 mod tests {
@@ -195,6 +227,37 @@ mod tests {
         assert!(base
             .combinations(2)
             .all(|s| s.len() == 2 && s.is_subset(&base)));
+    }
+
+    #[test]
+    fn combinations_size_hint_is_exact_at_every_step() {
+        let base = set(&[0, 3, 5, 64, 70, 71]);
+        for k in 0..=base.len() + 2 {
+            let mut it = base.combinations(k);
+            let mut left = base.combinations(k).count();
+            loop {
+                assert_eq!(it.size_hint(), (left, Some(left)), "k = {k}");
+                assert_eq!(it.len(), left, "k = {k}");
+                if it.next().is_none() {
+                    break;
+                }
+                left -= 1;
+            }
+            assert_eq!(left, 0, "k = {k}");
+        }
+        assert_eq!(NodeSet::new().combinations(0).len(), 1);
+        assert_eq!(NodeSet::new().combinations(1).len(), 0);
+    }
+
+    #[test]
+    fn binomial_handles_extremes() {
+        assert_eq!(binomial(20, 4), Some(4845));
+        assert_eq!(binomial(20, 16), Some(4845));
+        assert_eq!(binomial(5, 0), Some(1));
+        assert_eq!(binomial(5, 5), Some(1));
+        assert_eq!(binomial(5, 6), Some(0));
+        assert_eq!(binomial(62, 31), Some(465_428_353_255_261_088));
+        assert_eq!(binomial(200, 100), None);
     }
 
     #[test]
